@@ -261,9 +261,6 @@ class PathBook:
         self.quality: List[Optional[PathQuality]] = [None] * len(self.candidates)
         self.failed: List[bool] = [False] * len(self.candidates)
 
-    def index_of(self, path: Path) -> int:
-        return self.candidates.index(tuple(path))
-
     def record(self, index: int, quality: PathQuality) -> None:
         self.quality[index] = quality
         self.failed[index] = False

@@ -12,7 +12,7 @@ the configuration and code are unchanged.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.baselines.fabrics import make_fabric
 from repro.core.params import UFabParams
@@ -37,16 +37,6 @@ SCHEME_LABELS = {
 }
 
 
-@dataclasses.dataclass
-class SchemeRun:
-    """One scheme's measurements within an experiment."""
-
-    scheme: str
-    rate_series: Dict[str, List[Tuple[float, float]]] = dataclasses.field(default_factory=dict)
-    rtt_samples: List[float] = dataclasses.field(default_factory=list)
-    extras: Dict[str, object] = dataclasses.field(default_factory=dict)
-
-
 def testbed_network(
     link_capacity: float = 10e9,
     resolve_interval: float = 0.0,
@@ -67,11 +57,6 @@ def build_scheme(
 ):
     return make_fabric(scheme, network, params, seed, flowlet_gap_s,
                        backend=backend)
-
-
-def sample_period_for(base_rtt: float) -> float:
-    """RTT/queue sampling cadence: a fraction of the control interval."""
-    return base_rtt / 2.0
 
 
 # ----------------------------------------------------------------------

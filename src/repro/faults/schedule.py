@@ -54,9 +54,6 @@ class FaultSchedule:
         """This schedule plus ``other``'s events (keeps this seed)."""
         return FaultSchedule(events=self.events + other.events, seed=self.seed)
 
-    def with_seed(self, seed: int) -> "FaultSchedule":
-        return FaultSchedule(events=self.events, seed=seed)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

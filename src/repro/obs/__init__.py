@@ -67,9 +67,6 @@ class ObsConfig:
                              f"(known: {sorted(known)})")
         return cls(**dict(mapping))
 
-    def any_enabled(self) -> bool:
-        return self.trace or self.metrics or self.profile
-
 
 class Capture:
     """Handle to one observation window; export() after (or during)."""

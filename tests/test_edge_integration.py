@@ -222,6 +222,23 @@ def test_remove_pair_cleans_up():
     assert net.delivered_rate("p1") == pytest.approx(9.5e9, rel=0.05)
 
 
+def test_remove_pair_during_join_is_inert():
+    # Removing a pair before its join scouts report (here: at the very
+    # instant it was added) must not let the late scout results finish
+    # the join on the torn-down pair.
+    topo = three_tier_testbed()
+    net = Network(topo)
+    params = UFabParams(n_candidate_paths=8)
+    fabric = install_ufab(net, params)
+    fabric.add_pair(VMPair("p", "vf", "S1", "S5", phi=2000))
+    controller = fabric.controller("p")
+    fabric.remove_pair("p")
+    base_rtt = max(topo.base_rtt(path) for path in controller.book.candidates)
+    net.run(10 * params.probe_timeout_rtts * base_rtt)
+    assert controller.state == PairState.IDLE
+    assert "p" not in net.pairs
+
+
 def test_receiver_token_bounds_effective_phi():
     topo, net, fabric = dumbbell_fabric(1)
     add(fabric, 0, 5000)
