@@ -16,7 +16,7 @@ from repro.core.params import UFabParams
 from repro.sim.engine import Event
 from repro.sim.host import VMPair
 from repro.sim.network import Network
-from repro.sim.topology import Path
+from repro.sim.topology import Path, candidate_paths
 
 
 class RateController:
@@ -205,15 +205,10 @@ class BaselineFabric:
         candidates: Optional[List[Path]] = None,
         n_candidates: Optional[int] = None,
     ) -> BaselinePair:
-        topo = self.network.topology
         if candidates is None:
-            all_paths = topo.shortest_paths(pair.src_host, pair.dst_host)
-            if not all_paths:
-                raise ValueError(f"no path {pair.src_host} -> {pair.dst_host}")
-            k = n_candidates or self.params.n_candidate_paths
-            candidates = (
-                self.rng.sample(all_paths, k) if len(all_paths) > k else list(all_paths)
-            )
+            candidates = candidate_paths(
+                self.network.topology, pair.src_host, pair.dst_host,
+                n_candidates or self.params.n_candidate_paths, self.rng)
         controller = self.pair_cls(
             self,
             pair,

@@ -25,12 +25,12 @@ from typing import Dict, List
 
 from repro.baselines.registry import (
     SchemeInfo,
-    candidate_paths,
     hash_index,
     register,
     resolve_params,
 )
 from repro.obs import OBS
+from repro.sim.topology import candidate_paths
 
 _M_REBINDS = OBS.metrics.counter(
     "qshare.rebinds", unit="bindings",
@@ -242,7 +242,8 @@ class QShareFabric:
     def add_pair(self, pair, candidates=None, n_candidates=None):
         if candidates is None:
             candidates = candidate_paths(
-                self.network, pair, self.params, self.rng, n_candidates)
+                self.network.topology, pair.src_host, pair.dst_host,
+                n_candidates or self.params.n_candidate_paths, self.rng)
         idx = hash_index(pair.pair_id, len(candidates), seed=self.seed)
         path = tuple(candidates[idx])
         self.network.register_pair(pair, path)

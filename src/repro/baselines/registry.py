@@ -245,13 +245,3 @@ def hash_index(key: str, n: int, seed: int = 0) -> int:
     return int.from_bytes(digest, "little") % n
 
 
-def candidate_paths(network, pair, params, rng, n_candidates: Optional[int] = None):
-    """The shared candidate-path lottery used by every fabric family."""
-    topo = network.topology
-    all_paths = topo.shortest_paths(pair.src_host, pair.dst_host)
-    if not all_paths:
-        raise ValueError(f"no path {pair.src_host} -> {pair.dst_host}")
-    k = n_candidates or params.n_candidate_paths
-    if len(all_paths) > k:
-        return rng.sample(all_paths, k)
-    return list(all_paths)

@@ -42,7 +42,7 @@ from repro.obs import OBS
 from repro.sim.engine import Event
 from repro.sim.host import VMPair
 from repro.sim.network import Network
-from repro.sim.topology import Path
+from repro.sim.topology import Path, candidate_paths
 
 # ---------------------------------------------------------------------
 # Observability declarations (recorded only when OBS.enabled)
@@ -1086,17 +1086,11 @@ class UFabFabric:
         n_candidates: Optional[int] = None,
     ) -> PairController:
         """Register a VM-pair and start its controller."""
-        topo = self.network.topology
         if candidates is None:
-            all_paths = topo.shortest_paths(pair.src_host, pair.dst_host)
-            if not all_paths:
-                raise ValueError(f"no path {pair.src_host} -> {pair.dst_host}")
-            k = n_candidates or self.params.n_candidate_paths
-            if len(all_paths) > k:
-                edge_rng = self.edges[pair.src_host].rng
-                candidates = edge_rng.sample(all_paths, k)
-            else:
-                candidates = list(all_paths)
+            candidates = candidate_paths(
+                self.network.topology, pair.src_host, pair.dst_host,
+                n_candidates or self.params.n_candidate_paths,
+                self.edges[pair.src_host].rng)
         self.network.register_pair(pair, candidates[0])
         controller = self.edges[pair.src_host].add_pair(pair, candidates)
         # Wake the controller when a message-driven pair gets new demand,

@@ -8,6 +8,7 @@ small classic topologies (dumbbell, parking lot) used in unit tests.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -24,6 +25,13 @@ class Topology:
         self.links: Dict[str, Link] = {}
         self._adj: Dict[str, List[Link]] = {}
         self._path_cache: Dict[Tuple[str, str, int], List[Path]] = {}
+        # Path enumeration state, invalidated with _path_cache: the
+        # reverse adjacency (built on the first query, not per link, so
+        # construction stays cheap) and, per destination, every node's
+        # hop distance to it.  Placement concentrates destinations, so
+        # later sources to a known destination skip the BFS.
+        self._rev_adj: Optional[Dict[str, List[str]]] = None
+        self._dist_cache: Dict[str, Dict[str, int]] = {}
         # reverse_path / base_rtt are pure functions of the (static)
         # link set and get called per control round per pair; memoized,
         # invalidated alongside _path_cache when a link is added.
@@ -61,6 +69,8 @@ class Topology:
         self.links[name] = link
         self._adj[src].append(link)
         self._path_cache.clear()
+        self._rev_adj = None
+        self._dist_cache.clear()
         self._reverse_cache.clear()
         self._rtt_cache.clear()
         return link
@@ -107,6 +117,8 @@ class Topology:
         """All equal-cost (minimum-hop) directed paths src -> dst.
 
         Results are cached; ``limit`` caps enumeration for dense fabrics.
+        The returned list is shared by every caller of the same query:
+        do not mutate it.
         """
         key = (src, dst, limit)
         cached = self._path_cache.get(key)
@@ -115,18 +127,7 @@ class Topology:
         if src == dst:
             self._path_cache[key] = []
             return []
-        # BFS to find hop distance from every node to dst (on reversed edges).
-        dist = {dst: 0}
-        rev_adj: Dict[str, List[str]] = {}
-        for link in self.links.values():
-            rev_adj.setdefault(link.dst, []).append(link.src)
-        frontier = deque([dst])
-        while frontier:
-            node = frontier.popleft()
-            for prev in rev_adj.get(node, []):
-                if prev not in dist:
-                    dist[prev] = dist[node] + 1
-                    frontier.append(prev)
+        dist = self._distances_to(dst)
         if src not in dist:
             self._path_cache[key] = []
             return []
@@ -150,6 +151,29 @@ class Topology:
         self._path_cache[key] = paths
         return paths
 
+    def _distances_to(self, dst: str) -> Dict[str, int]:
+        """Hop distance to ``dst`` from every node that can reach it."""
+        dist = self._dist_cache.get(dst)
+        if dist is not None:
+            return dist
+        rev_adj = self._rev_adj
+        if rev_adj is None:
+            rev_adj = {}
+            for link in self.links.values():
+                rev_adj.setdefault(link.dst, []).append(link.src)
+            self._rev_adj = rev_adj
+        # BFS on reversed edges.
+        dist = {dst: 0}
+        frontier = deque([dst])
+        while frontier:
+            node = frontier.popleft()
+            for prev in rev_adj.get(node, ()):
+                if prev not in dist:
+                    dist[prev] = dist[node] + 1
+                    frontier.append(prev)
+        self._dist_cache[dst] = dist
+        return dist
+
     def base_rtt(self, path: Sequence[Link], host_delay: float = 0.0) -> float:
         """Round-trip propagation delay over ``path`` and its reverse."""
         key = (path if type(path) is tuple else tuple(path), host_delay)
@@ -160,6 +184,23 @@ class Topology:
             cached = forward + backward + 2 * host_delay
             self._rtt_cache[key] = cached
         return cached
+
+
+def candidate_paths(
+    topo: Topology, src: str, dst: str, k: int, rng: random.Random
+) -> List[Path]:
+    """The candidate-path lottery every fabric runs for a new pair.
+
+    All equal-cost ``src -> dst`` paths when there are at most ``k``,
+    else ``rng.sample`` of ``k`` of them (the draw order is part of
+    every figure's reproducibility).
+    """
+    all_paths = topo.shortest_paths(src, dst)
+    if not all_paths:
+        raise ValueError(f"no path {src} -> {dst}")
+    if len(all_paths) > k:
+        return rng.sample(all_paths, k)
+    return list(all_paths)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Unit tests for topology builders and path enumeration."""
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.sim.topology import (
@@ -95,6 +98,21 @@ def test_path_cache_is_invalidated_on_new_link():
     assert len(after) == 1  # the new path is longer, so still one shortest
 
 
+def test_shorter_route_after_query_replaces_memoized_distances():
+    # Query (h0, h4) so h4's distance table is memoized, then add a
+    # shortcut that makes h4 closer to a *different* source, h1.
+    topo = parking_lot(n_hops=4, prop_delay=1e-6)
+    assert len(topo.shortest_paths("h0", "h4")[0]) == 6
+    topo.add_duplex("SW1", "SW4", 10e9, prop_delay=1e-6)
+    paths = topo.shortest_paths("h1", "h4")
+    assert _names(paths) == [["h1->SW1", "SW1->SW4", "SW4->h4"]]
+    assert topo.base_rtt(paths[0]) == pytest.approx(6e-6)
+    assert [l.name for l in topo.reverse_path(paths[0])] == [
+        "h4->SW4", "SW4->SW1", "SW1->h1"]
+    assert _names(topo.shortest_paths("h0", "h4")) == [
+        ["h0->SW0", "SW0->SW1", "SW1->SW4", "SW4->h4"]]
+
+
 def test_no_path_returns_empty():
     topo = Topology()
     topo.add_host("a")
@@ -153,3 +171,85 @@ def test_clos_oversub_sizing():
                         host_capacity=100e9)
     spines = [s for s in topo.switches() if s.startswith("spine")]
     assert len(spines) == 4  # 8 hosts * 100G / 2 = 400G -> 4 spines
+
+
+# ----------------------------------------------------------------------
+# Path identity against the per-query enumeration
+# ----------------------------------------------------------------------
+# The reference below is the original ``shortest_paths`` body, split in
+# two so a test may reuse its BFS across sources: the BFS is a pure
+# function of the link set and ``dst``.  Candidate-path draws
+# (``rng.sample``) depend on the exact order of the returned list.
+
+def _reference_distances(topo, dst):
+    dist = {dst: 0}
+    rev_adj = {}
+    for link in topo.links.values():
+        rev_adj.setdefault(link.dst, []).append(link.src)
+    frontier = deque([dst])
+    while frontier:
+        node = frontier.popleft()
+        for prev in rev_adj.get(node, []):
+            if prev not in dist:
+                dist[prev] = dist[node] + 1
+                frontier.append(prev)
+    return dist
+
+
+def _reference_walk(topo, src, dst, limit, dist):
+    if src == dst or src not in dist:
+        return []
+    paths = []
+
+    def walk(node, acc):
+        if len(paths) >= limit:
+            return
+        if node == dst:
+            paths.append(tuple(acc))
+            return
+        for link in topo._adj[node]:
+            nxt = link.dst
+            if dist.get(nxt, -1) == dist[node] - 1:
+                acc.append(link)
+                walk(nxt, acc)
+                acc.pop()
+
+    walk(src, [])
+    return paths
+
+
+def _names(paths):
+    return [[l.name for l in p] for p in paths]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fat_tree(4),
+    lambda: fat_tree(8),
+    three_tier_testbed,
+    lambda: leaf_spine(6, 5),
+    lambda: parking_lot(6),
+    lambda: dumbbell(3),
+], ids=["fat_tree4", "fat_tree8", "testbed", "leaf_spine6x5", "parking_lot6",
+        "dumbbell3"])
+def test_paths_match_reference_for_every_node_pair(build):
+    topo = build()
+    nodes = list(topo.nodes)
+    queries = [(s, d, limit) for s in nodes for d in nodes for limit in (64, 3, 1)]
+    random.Random(7).shuffle(queries)
+    ref_dist = {}
+    for src, dst, limit in queries:
+        if dst not in ref_dist:
+            ref_dist[dst] = _reference_distances(topo, dst)
+        expected = _reference_walk(topo, src, dst, limit, ref_dist[dst])
+        # Same Link objects in the same order, hence the same names.
+        assert topo.shortest_paths(src, dst, limit) == expected, (src, dst, limit)
+
+
+def test_paths_match_reference_on_k16_host_pairs():
+    topo = fat_tree(16)
+    hosts = topo.hosts()
+    rng = random.Random(16)
+    for _ in range(200):
+        src, dst = rng.choice(hosts), rng.choice(hosts)
+        expected = _reference_walk(topo, src, dst, 64, _reference_distances(topo, dst))
+        assert _names(topo.shortest_paths(src, dst)) == _names(expected), (src, dst)
