@@ -26,7 +26,8 @@ The lower-level pieces remain public for custom wiring::
 
 The core-switch controller behind uFAB is pluggable
 (:mod:`repro.core.controller`): ``Scenario....backend("pipeline")``,
-``--backend pipeline`` on any grid command, or ``REPRO_BACKEND=pipeline``
+``--backend pipeline`` on any grid command, or building the network
+under ``use_mode(SimMode(backend="pipeline"))`` (:mod:`repro.sim.mode`)
 swaps the behavioral agent for the register-accurate P4 pipeline
 emulation (:mod:`repro.core.p4pipe`); both backends are bit-identical
 on probe payloads and traces (see ``docs/API.md``).

@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.params import UFabParams
 from repro.sim.host import VMPair
+from repro.sim.mode import SimMode, current_mode, use_mode
 from repro.sim.network import Network
 from repro.sim.topology import Topology, three_tier_testbed
 
@@ -170,13 +171,12 @@ class Scenario:
         ``"pipeline"`` (register-accurate Tofino pipeline emulation);
         ``repro.core.controller.backend_names()`` lists them all and
         ``docs/API.md`` documents the seam.  ``None`` (the default)
-        defers to ``$REPRO_BACKEND`` or ``"behavioral"``.  Only schemes
-        that attach core agents (the uFAB family) are affected.
+        keeps the ambient mode's backend (``"behavioral"`` unless set
+        with :func:`repro.sim.mode.use_mode`).  Only schemes that attach
+        core agents (the uFAB family) are affected.
         """
         if name is not None:
-            from repro.core.controller import resolve_backend
-
-            name = resolve_backend(name)  # validate eagerly
+            SimMode(backend=name)  # validate eagerly
         self._backend = name
         return self
 
@@ -279,12 +279,16 @@ class Scenario:
         ``horizon``.  Use this to attach custom workloads or samplers,
         then drive ``network.run`` yourself.
         """
-        net = Network(self._topology_factory())
+        mode = current_mode()
+        if self._backend is not None:
+            mode = dataclasses.replace(mode, backend=self._backend)
+        with use_mode(mode):
+            net = Network(self._topology_factory())
         net.resolve_interval = self._resolve_interval
         from repro.baselines.fabrics import make_fabric
 
         fabric = make_fabric(self._scheme, net, self._params, self._seed,
-                             self._flowlet_gap_s, backend=self._backend)
+                             self._flowlet_gap_s)
         for at, kwargs, candidates in self._tenants:
             pair = kwargs.get("_pair") or VMPair(**kwargs)
             args = (pair,) if candidates is None else (pair, candidates)

@@ -157,21 +157,7 @@ register(SchemeInfo(
 ))
 
 
-def make_fabric(
-    name: str,
-    network: Network,
-    params: Optional[UFabParams] = None,
-    seed: int = 1,
-    flowlet_gap_s: float = 200e-6,
-    backend: Optional[str] = None,
-):
-    """Build a fabric by scheme name; all expose add_pair/remove_pair.
-
-    Resolves through :mod:`repro.baselines.registry`, so rival schemes
-    (``soze``, ``qshare``, ``utas``) and aliases work everywhere this is
-    plumbed.  ``backend`` picks the core-switch controller backend for
-    schemes that attach core agents (``None`` = ``REPRO_BACKEND`` or
-    ``behavioral``).
-    """
-    return registry.build(name, network, params, seed, flowlet_gap_s,
-                          backend=backend)
+#: Build a fabric by scheme name; all expose add_pair/remove_pair.  It
+#: resolves through :mod:`repro.baselines.registry`, so rival schemes
+#: (``soze``, ``qshare``, ``utas``) and aliases work everywhere.
+make_fabric = registry.build

@@ -21,7 +21,7 @@ drift (``python -m repro.obs --check-schemes``).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 __all__ = [
     "SchemeInfo",
@@ -112,33 +112,13 @@ def build(
     params=None,
     seed: int = 1,
     flowlet_gap_s: float = 200e-6,
-    backend: Optional[str] = None,
 ):
     """Build a fabric by scheme name; all expose add_pair/remove_pair.
 
-    ``backend`` selects the core-switch controller implementation
-    (:func:`repro.core.controller.backend_names`) for schemes that
-    attach core agents (the uFAB family); it is pinned into
-    ``REPRO_BACKEND`` around the builder call so every scheme resolves
-    it uniformly without widening the builder signature.  ``None``
-    keeps whatever the environment already says.
+    Schemes that attach core agents (the uFAB family) use the network's
+    ``mode.backend``.
     """
-    info = get(name)
-    if backend is None:
-        return info.builder(network, params, seed, flowlet_gap_s)
-    import os
-
-    from repro.core.controller import resolve_backend
-
-    saved = os.environ.get("REPRO_BACKEND")
-    os.environ["REPRO_BACKEND"] = resolve_backend(backend)
-    try:
-        return info.builder(network, params, seed, flowlet_gap_s)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_BACKEND", None)
-        else:
-            os.environ["REPRO_BACKEND"] = saved
+    return get(name).builder(network, params, seed, flowlet_gap_s)
 
 
 def _ordered() -> List[SchemeInfo]:

@@ -43,6 +43,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.analysis.report import format_table
 from repro.runner.parallel import default_jobs
+from repro.sim.mode import TRANSITS, SimMode
 
 
 def _obs_config(args) -> Optional[dict]:
@@ -74,7 +75,7 @@ def _grid_kwargs(args) -> dict:
         "cache_dir": args.cache_dir,
         "obs": _obs_config(args),
         "faults": _faults_config(args),
-        "backend": getattr(args, "backend", None),
+        "mode": SimMode(backend=getattr(args, "backend", SimMode.backend)),
     }
 
 
@@ -459,12 +460,12 @@ def _bench(args) -> None:
         cache_dir=args.cache_dir,
         out=args.out,
         profile=args.profile,
-        transit=args.transit,
-        backend=args.backend,
+        mode=SimMode(backend=args.backend, transit=args.transit),
     )
     rows = [
         [r["experiment"],
-         r["scheme"] + (f"/{r['backend']}" if r.get("backend") else ""),
+         r["scheme"] + "".join(f"/{v}" for k, v in r["mode"].items()
+                               if v != getattr(SimMode, k)),
          r["seed"],
          "hit" if r["cached"] else ("ok" if r["ok"] else "FAIL"),
          f"{r['wall_s']:.2f}",
@@ -556,7 +557,7 @@ COMMANDS: Dict[str, Dict] = {
 def _runner_parent() -> argparse.ArgumentParser:
     """Shared ``--jobs/--no-cache/--cache-dir`` options (argparse parent)."""
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--jobs", type=int, default=default_jobs(),
+    p.add_argument("--jobs", type=int, default=None,
                    help="parallel worker processes (default: $REPRO_JOBS or 1; "
                         "1 = in-process)")
     p.add_argument("--no-cache", action="store_true",
@@ -593,11 +594,11 @@ def _backend_parent() -> argparse.ArgumentParser:
     from repro.core.controller import backend_names
 
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--backend", choices=backend_names(), default=None,
+    p.add_argument("--backend", choices=backend_names(), default=SimMode.backend,
                    help="core-switch controller backend for every cell "
-                        "(default: $REPRO_BACKEND or 'behavioral'; "
-                        "'pipeline' = register-accurate Tofino emulation, "
-                        "distinct cache keys)")
+                        "(default: 'behavioral'; 'pipeline' = "
+                        "register-accurate Tofino emulation, distinct "
+                        "cache keys)")
     return p
 
 
@@ -674,9 +675,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--profile", action="store_true",
                    help="attach the obs event-loop profiler to every cell "
                         "(distinct cache keys from unprofiled runs)")
-    b.add_argument("--transit", choices=("fast", "slow"), default=None,
-                   help="pin REPRO_PROBE_TRANSIT for every cell (pair "
-                        "with --no-cache when A/B-ing transit modes)")
+    b.add_argument("--transit", choices=TRANSITS, default=SimMode.transit,
+                   help="probe transit for every cell (default: 'fast'; "
+                        "'slow' = per-hop reference path, distinct cache "
+                        "keys)")
     b.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"), default=None,
                    help="diff two BENCH_*.json reports (events/sec and "
                         "per-job wall time) instead of running a grid")
@@ -790,6 +792,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 0) is None:
+        try:
+            args.jobs = default_jobs()
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.command in (None, "list"):
         print("available figures:")
         for name, spec in COMMANDS.items():

@@ -26,8 +26,9 @@ accounting program against, with interchangeable implementations
 
 Both backends are cross-validated bit-identically on probe payloads,
 traces, and HopRecords (``tests/test_backend_conformance.py``), so any
-grid can run under either via ``--backend`` / ``REPRO_BACKEND`` and
-produce the same rows.  Future backends (an external BMv2 target)
+grid can run under either via ``--backend`` (a
+:class:`~repro.sim.mode.SimMode` the network records) and produce the
+same rows.  Future backends (an external BMv2 target)
 register here the same way — see the "adding a backend" walkthrough in
 ``docs/API.md``.
 """
@@ -35,7 +36,6 @@ register here the same way — see the "adding a backend" walkthrough in
 from __future__ import annotations
 
 import abc
-import os
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -143,13 +143,12 @@ def register_backend(name: str, module: str, cls: str) -> None:
 
 
 def resolve_backend(name: Optional[str] = None) -> str:
-    """Resolve an explicit backend name or the ``REPRO_BACKEND`` env var.
+    """Validate a backend name; ``None``/empty means :data:`DEFAULT_BACKEND`.
 
-    ``None``/empty falls back to the environment, then to
-    :data:`DEFAULT_BACKEND`; unknown names raise ``ValueError`` listing
-    the registered ones (mirroring the scheme registry's behavior).
+    Unknown names raise ``ValueError`` listing the registered ones
+    (mirroring the scheme registry's behavior).
     """
-    chosen = name or os.environ.get("REPRO_BACKEND") or DEFAULT_BACKEND
+    chosen = name or DEFAULT_BACKEND
     if chosen not in _BACKEND_CLASSES:
         known = ", ".join(backend_names())
         raise ValueError(f"unknown core backend {chosen!r} (registered: {known})")
@@ -174,10 +173,10 @@ def attach_core_agents(
     The paper deploys uFAB-C in switches; attaching to host egress links
     too is equivalent to uFAB-E's local NIC admission and keeps the
     telemetry model uniform.  ``backend`` picks the implementation
-    (explicit name, else ``REPRO_BACKEND``, else ``behavioral``); the
-    per-link ``bloom_seed`` from sorted link enumeration is identical
-    across backends, so Bloom collisions — and the Phi_l/W_l
-    under-estimates they cause — reproduce exactly.
+    (``None`` = ``behavioral``; a fabric passes its network's
+    ``mode.backend``); the per-link ``bloom_seed`` from sorted link
+    enumeration is identical across backends, so Bloom collisions — and
+    the Phi_l/W_l under-estimates they cause — reproduce exactly.
     """
     cls = backend_class(backend)
     agents: Dict[str, SwitchController] = {}

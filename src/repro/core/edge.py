@@ -1054,12 +1054,12 @@ class UFabFabric:
     """The installed uFAB deployment: all edge agents plus the core."""
 
     def __init__(self, network: Network, params: Optional[UFabParams] = None,
-                 seed: int = 1, backend: Optional[str] = None) -> None:
+                 seed: int = 1) -> None:
         self.network = network
         self.params = params or UFabParams()
         self.rng = random.Random(seed)
         self.core_agents = attach_core_agents(network.topology, self.params,
-                                              backend=backend)
+                                              backend=network.mode.backend)
         self.edges: Dict[str, EdgeAgent] = {}
         for name, host in network.hosts.items():
             agent = EdgeAgent(name, network, self.params, random.Random(self.rng.random()))
@@ -1161,12 +1161,10 @@ def install_ufab(
     network: Network,
     params: Optional[UFabParams] = None,
     seed: int = 1,
-    backend: Optional[str] = None,
 ) -> UFabFabric:
     """Deploy uFAB on a simulated network (edge agents + informative core).
 
-    ``backend`` selects the core-switch controller implementation
-    (:func:`repro.core.controller.backend_names`: ``behavioral`` or the
-    register-accurate ``pipeline``); ``None`` defers to ``REPRO_BACKEND``.
+    The core-switch controller backend is the network's
+    ``mode.backend`` (see :mod:`repro.sim.mode`).
     """
-    return UFabFabric(network, params, seed, backend=backend)
+    return UFabFabric(network, params, seed)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.analysis.metrics import GuaranteeAuditor, QueueSampler
 from repro.core.edge import install_ufab
@@ -327,17 +327,12 @@ def run_grid(
     etas: Sequence[float] = (0.90, 0.95, 0.99),
     duration: float = 0.05,
     seed: int = 41,
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
+    **runner: Any,
 ) -> List[Dict[str, object]]:
     """The ablation grids through the parallel runner (rows of dicts)."""
     from repro.experiments.common import run_grid as submit
 
-    return submit(grid(fractions, etas, duration, seed), jobs=jobs,
-                  use_cache=use_cache, cache_dir=cache_dir, obs=obs, backend=backend)
+    return submit(grid(fractions, etas, duration, seed), **runner)
 
 
 # ----------------------------------------------------------------------

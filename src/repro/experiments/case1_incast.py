@@ -8,7 +8,7 @@ latency growing with the incast degree while uFAB bounds it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import RttSampler, percentile
 from repro.experiments.common import build_scheme, testbed_network
@@ -114,19 +114,12 @@ def run_grid(
     schemes: Sequence[str] = ("pwc", "ufab"),
     duration: float = 0.03,
     seeds: Sequence[int] = (1,),
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
+    **runner: Any,
 ) -> List[Dict[str, object]]:
     """The Figure 4 sweep through the parallel runner (rows of dicts)."""
     from repro.experiments.common import run_grid as submit
 
-    return submit(grid(degrees, schemes, duration, seeds), jobs=jobs,
-                  use_cache=use_cache, cache_dir=cache_dir, obs=obs,
-                  faults=faults, backend=backend)
+    return submit(grid(degrees, schemes, duration, seeds), **runner)
 
 
 def run(

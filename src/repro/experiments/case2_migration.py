@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.baselines.base import BaselineFabric
 from repro.baselines.clove import CloveSelector
@@ -202,18 +202,12 @@ def grid(duration: float = 0.2) -> "List[Job]":
 
 def run_grid(
     duration: float = 0.2,
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
+    **runner: Any,
 ) -> "List[Dict[str, object]]":
     """The three Figure 5 panels through the parallel runner."""
     from repro.experiments.common import run_grid as submit
 
-    return submit(grid(duration), jobs=jobs, use_cache=use_cache,
-                  cache_dir=cache_dir, obs=obs, faults=faults, backend=backend)
+    return submit(grid(duration), **runner)
 
 
 def run(duration: float = 0.2) -> List[MigrationResult]:

@@ -6,7 +6,10 @@ doorway into :mod:`repro.runner`: figure modules express their
 submit them through :func:`run_grid`, which fans out over processes
 when ``jobs > 1`` and otherwise runs in-process (debugger- and
 coverage-friendly), with results served from the on-disk cache when
-the configuration and code are unchanged.
+the configuration and code are unchanged.  Each figure module's
+``run_grid(..., **runner)`` forwards the runner options (``jobs``,
+``use_cache``, ``cache_dir``, ``obs``, ``faults``, ``mode``) to
+:func:`run_grid` here.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import dataclasses
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.baselines.fabrics import make_fabric
-from repro.core.params import UFabParams
 from repro.runner import Job, ParallelRunner, ResultCache
+from repro.sim.mode import SimMode
 from repro.sim.network import Network
 from repro.sim.topology import three_tier_testbed
 
@@ -47,16 +50,7 @@ def testbed_network(
     return net
 
 
-def build_scheme(
-    scheme: str,
-    network: Network,
-    params: Optional[UFabParams] = None,
-    seed: int = 1,
-    flowlet_gap_s: float = 200e-6,
-    backend: Optional[str] = None,
-):
-    return make_fabric(scheme, network, params, seed, flowlet_gap_s,
-                       backend=backend)
+build_scheme = make_fabric
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +69,7 @@ def run_grid(
     cache_dir: Optional[str] = None,
     obs: Optional[Mapping[str, Any]] = None,
     faults: Optional[Mapping[str, Any]] = None,
-    backend: Optional[str] = None,
+    mode: Optional[SimMode] = None,
 ) -> List[Dict[str, Any]]:
     """Submit a grid, return ordered payload rows; raise on failures.
 
@@ -91,11 +85,9 @@ def run_grid(
     trace/metrics under the payload key ``"_obs"``.  ``faults`` (a
     fault-schedule config, see :meth:`repro.faults.FaultSchedule.
     to_config`) likewise applies to every cell that does not already
-    carry its own schedule.  ``backend`` (a core-controller backend
-    name, see :func:`repro.core.controller.backend_names`) applies to
-    every cell that does not already pin one.  All three are part of
-    each job's cache key, so traced/faulted/pipeline-backed results
-    never alias clean ones.
+    carry its own schedule.  ``mode`` (a :class:`~repro.sim.mode.SimMode`)
+    applies to every cell.  All three are part of each job's cache key,
+    so traced/faulted/pipeline-backed results never alias clean ones.
     """
     submitted = list(grid_jobs)
     if obs:
@@ -105,11 +97,8 @@ def run_grid(
             job if job.faults else dataclasses.replace(job, faults=dict(faults))
             for job in submitted
         ]
-    if backend:
-        submitted = [
-            job if job.backend else dataclasses.replace(job, backend=backend)
-            for job in submitted
-        ]
+    if mode is not None:
+        submitted = [dataclasses.replace(job, mode=mode) for job in submitted]
     runner = ParallelRunner(
         jobs=jobs,
         timeout_s=timeout_s,

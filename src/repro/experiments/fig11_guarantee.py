@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import Cdf, GuaranteeAuditor, QueueSampler
 from repro.experiments.common import build_scheme, testbed_network
@@ -137,19 +137,12 @@ def run_grid(
     schemes: Sequence[str] = ("ufab", "pwc", "es+clove"),
     duration: float = 0.3,
     seeds: Sequence[int] = (3,),
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
+    **runner: Any,
 ) -> List[Dict[str, object]]:
     """The Figure 11 sweep through the parallel runner (rows of dicts)."""
     from repro.experiments.common import run_grid as submit
 
-    return submit(grid(schemes, duration, seeds), jobs=jobs,
-                  use_cache=use_cache, cache_dir=cache_dir, obs=obs,
-                  faults=faults, backend=backend)
+    return submit(grid(schemes, duration, seeds), **runner)
 
 
 def run(

@@ -8,7 +8,7 @@ against the 4-baseRTT latency bound.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import Cdf, RttSampler, percentile
 from repro.experiments.common import SCHEMES_WITH_PRIME, build_scheme, testbed_network
@@ -117,19 +117,12 @@ def run_grid(
     schemes: Sequence[str] = SCHEMES_WITH_PRIME,
     duration: float = 0.06,
     seeds: Sequence[int] = (1,),
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
+    **runner: Any,
 ) -> List[Dict[str, object]]:
     """The Figure 12 sweep through the parallel runner (rows of dicts)."""
     from repro.experiments.common import run_grid as submit
 
-    return submit(grid(schemes, duration, seeds), jobs=jobs,
-                  use_cache=use_cache, cache_dir=cache_dir, obs=obs,
-                  faults=faults, backend=backend)
+    return submit(grid(schemes, duration, seeds), **runner)
 
 
 def run(

@@ -10,7 +10,7 @@ RTTs, and with the latency optimization the max RTT stays bounded.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import Cdf, RttSampler, percentile
 from repro.core.params import UFabParams
@@ -161,19 +161,12 @@ def run_grid(
     schemes: Sequence[str] = SCHEMES_WITH_PRIME,
     n_senders: int = 90,
     duration: float = 0.024,
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
+    **runner: Any,
 ) -> List[Dict[str, object]]:
     """The Figure 16 sweep through the parallel runner (rows of dicts)."""
     from repro.experiments.common import run_grid as submit
 
-    return submit(grid(schemes, n_senders, duration), jobs=jobs,
-                  use_cache=use_cache, cache_dir=cache_dir, obs=obs,
-                  faults=faults, backend=backend)
+    return submit(grid(schemes, n_senders, duration), **runner)
 
 
 def run(

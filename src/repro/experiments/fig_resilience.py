@@ -18,7 +18,7 @@ sharply along both axes.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import GuaranteeAuditor, RttSampler, percentile
 from repro.core.params import UFabParams
@@ -182,12 +182,8 @@ def run_grid(
     mtbfs: Sequence[float] = DEFAULT_MTBFS,
     duration: float = 0.08,
     seeds: Sequence[int] = (5,),
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
     faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
+    **runner: Any,
 ) -> List[Dict[str, object]]:
     """The resilience sweep through the parallel runner (rows of dicts).
 
@@ -201,8 +197,7 @@ def run_grid(
     grid_jobs = grid(schemes, loss_rates, mtbfs, duration, seeds)
     if faults:
         grid_jobs = [dataclasses.replace(j, faults={}) for j in grid_jobs]
-    return submit(grid_jobs, jobs=jobs, use_cache=use_cache,
-                  cache_dir=cache_dir, obs=obs, faults=faults, backend=backend)
+    return submit(grid_jobs, faults=faults, **runner)
 
 
 def run(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import Cdf, GuaranteeAuditor, RttSampler
 from repro.baselines import registry
@@ -197,16 +197,9 @@ def run_grid(
     schemes: Sequence[str] = RIVAL_SCHEMES,
     duration: float = 0.08,
     seeds: Sequence[int] = (7,),
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
+    **runner: Any,
 ) -> List[Dict[str, object]]:
     """The rivals head-to-head sweep through the parallel runner."""
     from repro.experiments.common import run_grid as submit
 
-    return submit(grid(schemes, duration, seeds), jobs=jobs,
-                  use_cache=use_cache, cache_dir=cache_dir, obs=obs,
-                  faults=faults, backend=backend)
+    return submit(grid(schemes, duration, seeds), **runner)

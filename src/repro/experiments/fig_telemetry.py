@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.metrics import GuaranteeAuditor
 from repro.core.telemetry import DEFAULT_SAMPLED_PLAN
@@ -155,19 +155,12 @@ def run_grid(
     plans: Sequence[str] = PLANS,
     duration: float = 0.3,
     seeds: Sequence[int] = (3,),
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
+    **runner: Any,
 ) -> List[Dict[str, object]]:
     """The telemetry frontier through the parallel runner (rows of dicts)."""
     from repro.experiments.common import run_grid as submit
 
-    return submit(grid(plans, duration, seeds), jobs=jobs,
-                  use_cache=use_cache, cache_dir=cache_dir, obs=obs,
-                  faults=faults, backend=backend)
+    return submit(grid(plans, duration, seeds), **runner)
 
 
 # ---------------------------------------------------------------------

@@ -12,8 +12,8 @@ coverage.
 Tractability comes from two levers built for this sweep:
 
 * the :mod:`repro.sim.fluid` numpy kernel — large components run the
-  fixed point as array ops (``REPRO_SOLVER=auto`` picks it per
-  component; cells report ``vector_solves`` so coverage is auditable);
+  fixed point as array ops (the solver picks it per component by size;
+  cells report ``vector_solves`` so coverage is auditable);
 * flow-group aggregation — same-endpoint same-class pairs share one
   fabric pair, so controller/probe/solver state scales with distinct
   (endpoints, class) combinations, not the raw pair population.
@@ -26,11 +26,11 @@ standalone and can A/B the vectorized solver against scalar
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.params import UFabParams
 from repro.experiments.common import build_scheme
+from repro.sim.fluid import FluidSolver
 from repro.sim.network import Network
 from repro.sim.topology import fat_tree
 from repro.workloads.tenants import (
@@ -128,42 +128,35 @@ def run_one(
     pairs on, which is the adversarial combination the resilience grid
     alone cannot produce.
 
-    ``solver`` pins ``REPRO_SOLVER`` for this cell (``scalar`` /
-    ``vector`` / ``auto``); ``None`` inherits the process environment.
-    The solver mode changes *how* the fixed point is computed, never
-    what it computes — the two modes are bit-identical, which
+    ``solver`` pins this cell's fluid-solver kernel (``scalar`` /
+    ``vector``; ``None`` = ``auto``, the production choice by component
+    size).  The kernel changes *how* the fixed point is computed, never
+    what it computes — the two are bit-identical, which
     ``repro scale --verify-solver`` (and the CI scale job) asserts by
-    diffing this row across modes.
+    diffing this row across kernels.
     """
     if churn not in CHURN_LEVELS:
         raise ValueError(
             f"unknown churn level {churn!r}; choose from {sorted(CHURN_LEVELS)}")
-    saved = os.environ.get("REPRO_SOLVER")
+    net = scale_network(k)
     if solver is not None:
-        os.environ["REPRO_SOLVER"] = solver
-    try:
-        net = scale_network(k)
-        params = UFabParams(n_candidate_paths=4)
-        fabric = build_scheme(scheme, net, params=params, seed=seed)
-        config = CHURN_LEVELS[churn]
-        schedule = generate_churn(
-            net.topology.hosts(), horizon_s=duration, seed=seed, config=config)
-        injector = install_churn(
-            net, fabric, schedule,
-            unit_bandwidth=params.unit_bandwidth, aggregate=aggregate)
-        fault_injector = None
-        if faults:
-            from repro.faults import install_faults
+        # Swapped in before any flow exists, so nothing carries over.
+        net.solver = FluidSolver(mode=solver)
+    params = UFabParams(n_candidate_paths=4)
+    fabric = build_scheme(scheme, net, params=params, seed=seed)
+    config = CHURN_LEVELS[churn]
+    schedule = generate_churn(
+        net.topology.hosts(), horizon_s=duration, seed=seed, config=config)
+    injector = install_churn(
+        net, fabric, schedule,
+        unit_bandwidth=params.unit_bandwidth, aggregate=aggregate)
+    fault_injector = None
+    if faults:
+        from repro.faults import install_faults
 
-            fault_injector = install_faults(net, fabric, faults,
-                                            horizon=duration)
-        net.run(duration)
-    finally:
-        if solver is not None:
-            if saved is None:
-                del os.environ["REPRO_SOLVER"]
-            else:
-                os.environ["REPRO_SOLVER"] = saved
+        fault_injector = install_faults(net, fabric, faults,
+                                        horizon=duration)
+    net.run(duration)
 
     solver_stats = net.solver.stats.as_dict()
     delivered = [e.delivered_rate for e in net.solver.flows.values()]
@@ -237,19 +230,13 @@ def run_grid(
     churn_levels: Sequence[str] = DEFAULT_CHURN,
     duration: float = DEFAULT_DURATION,
     seeds: Sequence[int] = (DEFAULT_SEED,),
-    jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    obs: Optional[Dict[str, object]] = None,
-    faults: Optional[Dict[str, object]] = None,
-    backend: Optional[str] = None,
+    **runner: Any,
 ) -> List[Dict[str, object]]:
     """The scale sweep through the parallel runner (rows of dicts)."""
     from repro.experiments.common import run_grid as submit
 
     grid_jobs = grid(schemes, ks, churn_levels, duration, seeds)
-    return submit(grid_jobs, jobs=jobs, use_cache=use_cache,
-                  cache_dir=cache_dir, obs=obs, faults=faults, backend=backend)
+    return submit(grid_jobs, **runner)
 
 
 def verify_solver_equivalence(

@@ -23,7 +23,7 @@ the fault trace, and an empty schedule perturbs nothing at all.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.faults.events import (
     CoreReset,

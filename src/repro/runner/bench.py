@@ -11,13 +11,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.runner.cache import ResultCache
 from repro.runner.job import Job, code_version
 from repro.runner.parallel import ParallelRunner
+from repro.sim.mode import SimMode
 
 DEFAULT_SEEDS = (1, 2)
 
@@ -207,8 +207,7 @@ def run_bench(
     cache_dir: Optional[str] = None,
     out: Optional[str] = None,
     profile: bool = False,
-    transit: Optional[str] = None,
-    backend: Optional[str] = None,
+    mode: Optional[SimMode] = None,
 ) -> Dict[str, Any]:
     """Run a grid and return (and optionally write) the bench report.
 
@@ -217,44 +216,23 @@ def run_bench(
     ``Simulator.run`` rather than across process setup), at the cost of a
     distinct cache key from unprofiled runs.
 
-    ``transit`` pins ``REPRO_PROBE_TRANSIT`` (``"fast"`` or ``"slow"``)
-    for the whole run — in-process cells read it per Network, spawned
-    workers inherit it with the environment.  Use with ``use_cache=False``
-    when A/B-ing transit modes: the cache key does not include the mode
-    (by design — payloads are bit-identical), so a cached run would
-    report the other mode's timings.
-
-    ``backend`` pins every cell's core-controller backend (it folds into
-    the cache key, unlike ``transit``, so benched backends never alias).
+    ``mode`` (a :class:`~repro.sim.mode.SimMode`) runs every cell in
+    that core backend and probe transit.  Non-default modes fold into
+    the cache key, so A/B runs of two modes never alias; each row
+    records its full mode.
     """
     grid_jobs = build_grid(grid, schemes=schemes, seeds=seeds,
                            duration=duration, degrees=degrees)
     if profile:
         grid_jobs = [dataclasses.replace(j, obs={"profile": True})
                      for j in grid_jobs]
-    if backend is not None:
-        from repro.core.controller import resolve_backend
-
-        resolve_backend(backend)  # validate before spawning anything
-        grid_jobs = [dataclasses.replace(j, backend=backend)
-                     for j in grid_jobs]
+    if mode is not None:
+        grid_jobs = [dataclasses.replace(j, mode=mode) for j in grid_jobs]
     cache = ResultCache(cache_dir) if use_cache else None
     runner = ParallelRunner(jobs=jobs, timeout_s=timeout_s, cache=cache)
-    saved_transit = os.environ.get("REPRO_PROBE_TRANSIT")
-    if transit is not None:
-        if transit not in ("fast", "slow"):
-            raise ValueError(f"transit must be 'fast' or 'slow', got {transit!r}")
-        os.environ["REPRO_PROBE_TRANSIT"] = transit
-    try:
-        start = time.perf_counter()
-        results = runner.run(grid_jobs)
-        total_wall = time.perf_counter() - start
-    finally:
-        if transit is not None:
-            if saved_transit is None:
-                del os.environ["REPRO_PROBE_TRANSIT"]
-            else:
-                os.environ["REPRO_PROBE_TRANSIT"] = saved_transit
+    start = time.perf_counter()
+    results = runner.run(grid_jobs)
+    total_wall = time.perf_counter() - start
 
     per_job = []
     for r in results:
@@ -266,7 +244,7 @@ def run_bench(
             "scheme": r.job.scheme,
             "seed": r.job.seed,
             "params": dict(r.job.params),
-            "backend": r.job.backend,
+            "mode": dataclasses.asdict(r.job.mode),
             "ok": r.ok,
             "cached": r.cached,
             "wall_s": round(r.wall_s, 6),
@@ -285,7 +263,6 @@ def run_bench(
         "grid": grid,
         "jobs": jobs,
         "profile": profile,
-        "transit": transit,
         "n_jobs": len(grid_jobs),
         "n_failed": sum(1 for r in results if not r.ok),
         "total_wall_s": round(total_wall, 6),

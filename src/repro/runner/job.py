@@ -21,6 +21,8 @@ import os
 import time
 from typing import Any, Callable, Dict, Mapping, Optional
 
+from repro.sim.mode import SimMode, use_mode
+
 _CODE_VERSION: Optional[str] = None
 
 
@@ -96,13 +98,13 @@ class Job:
     it is part of :meth:`config_hash`, so cells run under different
     fault schedules (or none) never alias in the result cache.
 
-    ``backend`` selects the core-switch controller implementation
-    (:func:`repro.core.controller.backend_names`; empty = the session
-    default, i.e. ``REPRO_BACKEND`` or ``behavioral``).  It is pinned
-    into the environment for the duration of :func:`execute_job` — the
-    fabric builders resolve it at attach time — and folded into
-    :meth:`config_hash` only when set, so cached results never mix
-    backends.
+    ``mode`` is the run mode (:class:`~repro.sim.mode.SimMode`: core
+    backend and probe transit).  :func:`execute_job` makes it the
+    ambient mode for the cell, so every network the cell builds runs
+    in it — in spawned workers too, which receive it with the pickled
+    job.  Each field folds into :meth:`config_hash` under its own name
+    only when it differs from the default, so default-mode keys predate
+    the mode axis and stay valid, and cached results never mix modes.
     """
 
     experiment: str
@@ -112,7 +114,7 @@ class Job:
     params: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     obs: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     faults: Mapping[str, Any] = dataclasses.field(default_factory=dict)
-    backend: str = ""
+    mode: SimMode = dataclasses.field(default_factory=SimMode)
 
     def call_kwargs(self) -> Dict[str, Any]:
         kwargs = dict(self.params)
@@ -135,10 +137,11 @@ class Job:
             # Only folded in when present, so every pre-faults cache key
             # (and the seed corpus built on them) stays valid.
             spec["faults"] = dict(self.faults)
-        if self.backend:
-            # Same only-when-set rule: default-backend keys predate the
-            # backend axis and stay valid.
-            spec["backend"] = self.backend
+        for field in dataclasses.fields(SimMode):
+            # Same only-when-set rule, per mode field.
+            value = getattr(self.mode, field.name)
+            if value != field.default:
+                spec[field.name] = value
         return hashlib.sha256(canonical_json(spec).encode()).hexdigest()[:24]
 
     def describe(self) -> str:
@@ -201,15 +204,7 @@ def execute_job(job: Job) -> Dict[str, Any]:
     outputs are byte-identical to an uninstrumented run.
     """
     fn = resolve_entry(job.entry)
-    saved_backend = os.environ.get("REPRO_BACKEND")
-    if job.backend:
-        # Validate eagerly (a typo should fail the job, not silently
-        # run the default) and pin for the duration of the cell: the
-        # fabric builders resolve REPRO_BACKEND at agent-attach time.
-        from repro.core.controller import resolve_backend
-
-        os.environ["REPRO_BACKEND"] = resolve_backend(job.backend)
-    try:
+    with use_mode(job.mode):
         if job.obs:
             from repro.obs import OBS
 
@@ -220,12 +215,6 @@ def execute_job(job: Job) -> Dict[str, Any]:
                 payload["_obs"] = cap.export()
         else:
             payload = fn(**job.call_kwargs())
-    finally:
-        if job.backend:
-            if saved_backend is None:
-                os.environ.pop("REPRO_BACKEND", None)
-            else:
-                os.environ["REPRO_BACKEND"] = saved_backend
     if not isinstance(payload, Mapping):
         raise TypeError(
             f"entry {job.entry!r} returned {type(payload).__name__}; "

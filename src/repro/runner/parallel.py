@@ -18,9 +18,10 @@ tooling usable.
 
 The spawn start method is used everywhere (fork is unsafe with threads
 and unavailable on some platforms); jobs and payloads are plain
-picklable data, never closures.  Spawned workers inherit the parent's
-environment, so process-wide toggles (``REPRO_PROBE_TRANSIT``,
-``REPRO_CODE_VERSION``) apply to every cell of a sweep.
+picklable data, never closures.  A cell's run mode travels inside its
+pickled :class:`~repro.runner.job.Job` (``job.mode``), not through the
+environment.  Spawned workers do inherit the parent's environment, so
+``REPRO_CODE_VERSION`` applies to every cell of a sweep.
 """
 
 from __future__ import annotations
@@ -37,12 +38,14 @@ from repro.runner.job import Job, JobResult, timed_execute
 
 
 def default_jobs() -> int:
-    """Worker count: ``REPRO_JOBS`` env var, else 1 (in-process)."""
-    raw = os.environ.get("REPRO_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """Worker count: ``REPRO_JOBS`` env var, else 1 (in-process).
+
+    Unset or empty means 1; anything else but a positive integer raises.
+    """
+    raw = os.environ.get("REPRO_JOBS", "").strip() or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"REPRO_JOBS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def _worker_main(conn) -> None:

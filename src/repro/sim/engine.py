@@ -247,30 +247,42 @@ class Simulator:
         even if the last event fires earlier, so lazily-integrated state
         (link queues) can be synced at the horizon.
 
-        The loop exists twice: :meth:`_run_plain` is the disabled-mode
-        hot path and must stay free of profiling work; :meth:`_run_profiled`
-        additionally samples the :class:`~repro.obs.profile.SimProfiler`
-        every ``sample_every`` events.  Their semantics must stay
-        identical: every profiling statement carries a ``# profiled-only``
-        marker and ``tests/test_engine.py::test_run_loops_have_identical_semantics``
-        asserts the loops match line for line once those are stripped.
+        With a :class:`~repro.obs.profile.SimProfiler` attached, the one
+        loop runs in ``sample_every``-event chunks with ``profiler.tick``
+        between them, so an unprofiled run does no per-event profiling
+        work.
         """
         profiler = self.profiler
         start = time.perf_counter()
-        if profiler is not None:
-            profiler.begin(self)
-            self._run_profiled(until, max_events, profiler)
+        self._running = True
+        if profiler is None:
+            self._loop(until, max_events)
         else:
-            self._run_plain(until, max_events)
+            profiler.begin(self)
+            every = profiler.sample_every
+            processed = 0
+            while True:
+                chunk = every
+                if max_events is not None:
+                    chunk = min(every, max_events - processed)
+                done = self._loop(until, chunk)
+                processed += done
+                if done < chunk:
+                    break  # horizon, empty heap, or stop()
+                if processed % every == 0:
+                    profiler.tick(self, len(self._heap))
+                if max_events is not None and processed >= max_events:
+                    break
+        self._running = False
         if until is not None and self.now < until:
             self.now = until
         self.wall_s += time.perf_counter() - start
         if profiler is not None:
             profiler.end(self)
 
-    def _run_plain(self, until: Optional[float], max_events: Optional[int]) -> None:
-        """The run() loop without instrumentation (disabled-mode hot path)."""
-        self._running = True
+    def _loop(self, until: Optional[float], max_events: Optional[int]) -> int:
+        """Process events until the horizon, ``max_events``, an empty heap
+        or :meth:`stop`; returns the number processed."""
         processed = 0
         heap = self._heap
         pop = heapq.heappop
@@ -299,44 +311,7 @@ class Simulator:
                 free.append(ev)
             if max_events is not None and processed >= max_events:
                 break
-        self._running = False
-
-    def _run_profiled(self, until: Optional[float], max_events: Optional[int],
-                      profiler) -> None:
-        """The run() loop plus periodic profiler sampling."""
-        sample_every = profiler.sample_every  # profiled-only
-        self._running = True
-        processed = 0
-        heap = self._heap
-        pop = heapq.heappop
-        free = self._event_free
-        while heap and self._running:
-            entry = heap[0]
-            if until is not None and entry[0] > until:
-                break
-            pop(heap)
-            ev = entry[2]
-            if ev.cancelled:
-                self._cancelled -= 1
-                if ev.recyclable and len(free) < FREELIST_MAX:
-                    ev.fn = None
-                    ev.args = ()
-                    free.append(ev)
-                continue
-            self._live -= 1
-            self.now = entry[0]
-            ev.fn(*ev.args)
-            self.events_processed += 1
-            processed += 1
-            if ev.recyclable and len(free) < FREELIST_MAX:
-                ev.fn = None
-                ev.args = ()
-                free.append(ev)
-            if processed % sample_every == 0:  # profiled-only
-                profiler.tick(self, len(heap))  # profiled-only
-            if max_events is not None and processed >= max_events:
-                break
-        self._running = False
+        return processed
 
     def stop(self) -> None:
         """Stop the run loop after the current event returns."""

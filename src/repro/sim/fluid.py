@@ -43,25 +43,22 @@ right exactly like the scalar hop walk, ``np.add.at`` is unbuffered and
 applies addends in row-major (flow-then-hop) order, which is the scalar
 accumulation order — so vector and scalar solves are bit-identical.
 ``tests/test_fluid_vector.py`` asserts exact equality over randomized
-incremental sequences.  Select explicitly with ``REPRO_SOLVER=
-scalar|vector`` (default ``auto``: vectorize large components only —
-the packed matrix is cached between solves, and small components are
-faster in pure Python than through numpy dispatch overhead).
+incremental sequences.  The solver vectorizes large components only
+(``mode="auto"``): the packed matrix is cached between solves, and
+small components are faster in pure Python than through numpy dispatch
+overhead.  ``FluidSolver(mode="scalar"|"vector")`` pins one kernel for
+the equivalence checks.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as _np
 
 from repro.obs import OBS
 from repro.sim.link import Link
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a hard dependency
-    _np = None
 
 # Components with at least this many flows use the numpy kernel in
 # ``auto`` mode; below it the scalar loop wins on dispatch overhead.
@@ -85,8 +82,8 @@ _M_VECTOR = OBS.metrics.counter(
     "solver.vector_solves", unit="solves",
     site="repro/sim/fluid.py:FluidSolver._solve",
     desc="Solves executed by the vectorized numpy fixed-point kernel "
-         "(bit-identical to the scalar loop; large components only "
-         "under REPRO_SOLVER=auto).")
+         "(bit-identical to the scalar loop; by default only components "
+         f"of at least {VECTOR_MIN_FLOWS} flows).")
 
 
 _BY_ORDER = operator.attrgetter("order")
@@ -237,17 +234,13 @@ class FluidSolver:
     """Computes per-link inflows and per-flow delivered rates."""
 
     def __init__(self, tolerance: float = 1e-6, max_iterations: int = 50,
-                 mode: Optional[str] = None) -> None:
+                 mode: str = "auto") -> None:
         self.flows: Dict[str, FlowEntry] = {}
         self.tolerance = tolerance
         self.max_iterations = max_iterations
-        if mode is None:
-            mode = os.environ.get("REPRO_SOLVER", "auto") or "auto"
         if mode not in ("auto", "scalar", "vector"):
             raise ValueError(
                 f"unknown solver mode {mode!r} (auto, scalar, or vector)")
-        if _np is None:  # pragma: no cover - numpy is a hard dependency
-            mode = "scalar"
         self.mode = mode
         # Packed numpy kernels keyed by component token; cleared on any
         # membership change (the path matrix encodes structure only).

@@ -38,13 +38,13 @@ emissions are flushed, future ledger entries are withdrawn, and the
 flight resumes on the per-hop slow path at its exact precomputed next
 emission time, re-checking failure and interception per hop.  Fault
 semantics are therefore preserved exactly; the fast path is purely an
-event-count optimization.  Set ``REPRO_PROBE_TRANSIT=slow`` to disable
-it globally (the equivalence suite runs every experiment both ways).
+event-count optimization.  A network built under
+``use_mode(SimMode(transit="slow"))`` disables it (the equivalence suite
+runs every experiment both ways; see :mod:`repro.sim.mode`).
 """
 
 from __future__ import annotations
 
-import os
 from bisect import insort
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -54,6 +54,7 @@ from repro.sim.fluid import FluidSolver
 from repro.sim.host import Host, VMPair
 from repro.sim.link import Link
 from repro.sim.link import path_delay as _path_delay
+from repro.sim.mode import current_mode
 from repro.sim.topology import Path, Topology
 
 _M_FASTPATH = OBS.metrics.counter(
@@ -259,6 +260,8 @@ class Network:
 
     def __init__(self, topology: Topology, sim: Optional[Simulator] = None) -> None:
         self.topology = topology
+        # The run mode (core backend, probe transit), captured once.
+        self.mode = current_mode()
         self.sim = sim or Simulator()
         self.solver = FluidSolver()
         self.hosts: Dict[str, Host] = {
@@ -280,9 +283,8 @@ class Network:
         # a property: installing/removing an interceptor is a
         # turbulence event that materializes in-flight fast legs.
         self._probe_interceptor: Optional[Callable[[Probe, Link], Optional[float]]] = None
-        # Flat-transit state (see module docstring).  The env toggle is
-        # read once per network so spawned runner workers inherit it.
-        self._transit_fast = os.environ.get("REPRO_PROBE_TRANSIT", "fast") != "slow"
+        # Flat-transit state (see module docstring).
+        self._transit_fast = self.mode.transit == "fast"
         self._transit_seq = 0
         self._fast_flights: Dict[int, _Flight] = {}
         self.turbulence_epoch = 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Scenario, ScenarioResult, UFabParams
+from repro import Scenario, ScenarioResult
 from repro.faults import parse_faults
 from repro.sim.host import VMPair
 from repro.sim.topology import three_tier_testbed

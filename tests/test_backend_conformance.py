@@ -11,8 +11,8 @@ schedules, telemetry plans, and both probe-transit modes.
 
 Payload comparison is exact ``==`` after stripping ``events_processed``
 and ``_obs`` (the trace streams are compared separately, in full).
-``Job.backend`` carries the selection: ``execute_job`` pins it into
-``REPRO_BACKEND`` around the cell, exactly as the process pool does.
+``Job.mode`` carries the selection: ``execute_job`` enters it around
+the cell, exactly as the process pool's workers do.
 """
 
 import dataclasses
@@ -22,6 +22,7 @@ import pytest
 
 from repro.faults.spec import parse_faults
 from repro.runner.job import Job, execute_job
+from repro.sim.mode import SimMode, current_mode
 
 FIG11 = "repro.experiments.fig11_guarantee:cell"
 RESIL = "repro.experiments.fig_resilience:cell"
@@ -40,15 +41,8 @@ TELEM_PLANS = ("full", "sampled:k=4", "sampled:p=0.5,seed=11",
 
 def _run(job, backend, transit="fast"):
     """Execute one cell in-process under (backend, transit mode)."""
-    old = os.environ.get("REPRO_PROBE_TRANSIT")
-    os.environ["REPRO_PROBE_TRANSIT"] = transit
-    try:
-        return execute_job(dataclasses.replace(job, backend=backend))
-    finally:
-        if old is None:
-            del os.environ["REPRO_PROBE_TRANSIT"]
-        else:
-            os.environ["REPRO_PROBE_TRANSIT"] = old
+    mode = SimMode(backend=backend, transit=transit)
+    return execute_job(dataclasses.replace(job, mode=mode))
 
 
 def _strip(payload):
@@ -119,23 +113,28 @@ def test_trace_streams_identical_across_backends(backend):
 # Cache-key and selection plumbing
 # ----------------------------------------------------------------------
 
-def test_backend_is_part_of_the_cache_key():
+def test_backend_is_part_of_the_cache_key(monkeypatch):
+    monkeypatch.setenv("REPRO_CODE_VERSION", "pinned")
     base = Job("fig11", FIG11, scheme="ufab", seed=1,
                params={"scheme": "ufab", "duration": 0.004, "seed": 1})
-    pipe = dataclasses.replace(base, backend="pipeline")
-    explicit = dataclasses.replace(base, backend="behavioral")
-    assert base.config_hash() != pipe.config_hash()
-    # Pre-backend jobs keep their historical hash (backend folds in
-    # only when set), so an explicit behavioral pin is a distinct key.
-    assert base.config_hash() != explicit.config_hash()
+    pipe = dataclasses.replace(base, mode=SimMode(backend="pipeline"))
+    explicit = dataclasses.replace(base, mode=SimMode(backend="behavioral"))
+    slow = dataclasses.replace(base, mode=SimMode(transit="slow"))
+    # Mode fields fold in only when they differ from the default, so
+    # default-mode and pipeline keys are the ones the cache has always
+    # used; the transit mode is a key of its own.
+    assert base.config_hash() == "cbc1770174b4c01027fcf54e"
+    assert pipe.config_hash() == "3f37ecd8948e0a75d7e4bced"
+    assert explicit.config_hash() == base.config_hash()
+    assert len({base.config_hash(), pipe.config_hash(),
+                slow.config_hash()}) == 3
 
 
 def test_unknown_backend_fails_eagerly():
-    job = Job("fig11", FIG11, scheme="ufab", seed=1,
-              params={"scheme": "ufab", "duration": 0.004, "seed": 1},
-              backend="no-such-backend")
     with pytest.raises(ValueError, match="behavioral"):
-        execute_job(job)
+        SimMode(backend="no-such-backend")
+    with pytest.raises(ValueError, match="fast, slow"):
+        SimMode(transit="no-such-transit")
 
 
 def test_unknown_backend_error_lists_every_registered_name():
@@ -152,7 +151,7 @@ def test_unknown_backend_error_lists_every_registered_name():
 
 
 def test_unknown_solver_mode_error_lists_valid_modes():
-    # Same contract for the fluid solver's REPRO_SOLVER modes.
+    # Same contract for the fluid solver's kernel modes.
     from repro.sim.fluid import FluidSolver
     with pytest.raises(ValueError) as err:
         FluidSolver(mode="no-such-mode")
@@ -161,9 +160,12 @@ def test_unknown_solver_mode_error_lists_valid_modes():
 
 
 def test_execute_job_restores_environment():
+    # The job's mode is scoped to the cell: neither the process
+    # environment nor the ambient mode changes.
     job = Job("fig11", FIG11, scheme="ufab", seed=1,
               params={"scheme": "ufab", "duration": 0.003, "seed": 1},
-              backend="pipeline")
-    assert os.environ.get("REPRO_BACKEND") is None
+              mode=SimMode(backend="pipeline", transit="slow"))
+    environ = dict(os.environ)
     execute_job(job)
-    assert os.environ.get("REPRO_BACKEND") is None
+    assert dict(os.environ) == environ
+    assert current_mode() == SimMode()

@@ -217,30 +217,38 @@ def test_no_compaction_below_threshold():
 
 
 # ----------------------------------------------------------------------
-# Plain/profiled run-loop parity
+# Profiled runs end exactly like unprofiled ones
 # ----------------------------------------------------------------------
 
-def test_run_loops_have_identical_semantics():
-    """The profiled loop is the plain loop plus `# profiled-only` lines.
+@pytest.mark.parametrize("kwargs, stop_at", [
+    ({}, None), ({"until": 0.0105}, None),
+    ({"max_events": 8}, None), ({"max_events": 10}, None),
+    ({"max_events": 0}, None),  # degenerate budget: one event, as always
+    ({}, 7), ({}, 9),  # stop() on and off a sample boundary
+])
+def test_profiled_run_ends_like_plain_run(kwargs, stop_at):
+    from repro.obs.profile import SimProfiler
 
-    Compares the two method bodies at the AST level after stripping the
-    tagged instrumentation lines, so any semantic edit to one loop that
-    is not mirrored in the other fails here.
-    """
-    import ast
-    import inspect
-    import textwrap
+    outcomes = []
+    for profiler in (None, SimProfiler(sample_every=4)):
+        sim = Simulator()
+        sim.profiler = profiler
+        fired = []
 
-    def body_dump(fn):
-        src = textwrap.dedent(inspect.getsource(fn))
-        src = "\n".join(
-            line for line in src.splitlines() if "# profiled-only" not in line
-        )
-        node = ast.parse(src).body[0]
-        body = node.body
-        if (isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)):
-            body = body[1:]  # drop the docstring
-        return [ast.dump(stmt) for stmt in body]
+        def step(i):
+            fired.append(i)
+            if i == stop_at:
+                sim.stop()
+            if i < 24:
+                sim.schedule(1e-3, step, i + 1)
 
-    assert body_dump(Simulator._run_plain) == body_dump(Simulator._run_profiled)
+        sim.at(0.0, step, 0)
+        counts = []
+        for run_kwargs in (kwargs, {}):  # then resume to the end
+            before = sim.events_processed
+            sim.run(**run_kwargs)
+            counts.append(sim.events_processed - before)
+            outcomes.append((list(fired), sim.now, sim.pending()))
+    assert outcomes[:2] == outcomes[2:]
+    # One sample per sample_every events of each run, as before chunking.
+    assert len(profiler.samples) == sum(n // 4 for n in counts)

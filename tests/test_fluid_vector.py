@@ -155,13 +155,10 @@ def test_auto_mode_vectorizes_large_components_only():
     assert solver.stats.as_dict()["vector_solves"] == 1
 
 
-def test_mode_env_and_validation(monkeypatch):
-    monkeypatch.setenv("REPRO_SOLVER", "vector")
-    assert FluidSolver().mode == "vector"
-    monkeypatch.setenv("REPRO_SOLVER", "scalar")
-    assert FluidSolver().mode == "scalar"
-    monkeypatch.delenv("REPRO_SOLVER")
+def test_mode_validation():
     assert FluidSolver().mode == "auto"
+    assert FluidSolver(mode="vector").mode == "vector"
+    assert FluidSolver(mode="scalar").mode == "scalar"
     with pytest.raises(ValueError):
         FluidSolver(mode="simd")
 

@@ -176,12 +176,10 @@ def test_backend_names_default_first():
     assert "pipeline" in names
 
 
-def test_resolve_backend_env_and_default(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+def test_resolve_backend_default():
+    assert resolve_backend() == "behavioral"
     assert resolve_backend(None) == "behavioral"
-    monkeypatch.setenv("REPRO_BACKEND", "pipeline")
-    assert resolve_backend(None) == "pipeline"
-    assert resolve_backend("behavioral") == "behavioral"  # explicit wins
+    assert resolve_backend("pipeline") == "pipeline"
 
 
 def test_resolve_backend_rejects_unknown():

@@ -17,9 +17,11 @@ from repro.runner import (
     build_grid,
     code_version,
     compare_reports,
+    default_jobs,
     execute_job,
     run_bench,
 )
+from repro.sim.mode import SimMode
 
 ECHO = "repro.runner.cells:echo_cell"
 FAIL = "repro.runner.cells:failing_cell"
@@ -382,14 +384,6 @@ def test_compare_reports_heap_metric_counts_deleted_events():
         compare_reports(old, new, metric="latency")
 
 
-def test_run_bench_transit_pins_env_and_restores(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_PROBE_TRANSIT", raising=False)
-    report = run_bench(grid="smoke", jobs=1, use_cache=False,
-                       out=str(tmp_path / "b.json"), transit="slow")
-    assert report["transit"] == "slow"
-    assert "REPRO_PROBE_TRANSIT" not in os.environ
-
-
 def test_compare_reports_unmatched_and_failed_rows():
     old = _report([
         {"scheme": "ufab", "seed": 1, "events_per_sec": 1000.0, "wall_s": 1.0},
@@ -420,8 +414,49 @@ def test_compare_reports_empty_match_fails_any_threshold():
 
 def test_bench_report_rows_carry_backend(tmp_path):
     report = run_bench(grid="smoke", jobs=1, use_cache=False,
-                       out=str(tmp_path / "b.json"), backend="pipeline")
-    assert all(r["backend"] == "pipeline" for r in report["results"])
+                       out=str(tmp_path / "b.json"),
+                       mode=SimMode(backend="pipeline", transit="slow"))
+    assert all(r["mode"] == {"backend": "pipeline", "transit": "slow"}
+               for r in report["results"])
+    # Rows pair across modes: A/B reports compare cell by cell.
+    default = run_bench(grid="smoke", jobs=1, use_cache=False,
+                        out=str(tmp_path / "d.json"))
+    assert compare_reports(default, report)["n_matched"] == 4
+
+
+def test_transit_mode_reaches_spawned_workers():
+    # The mode rides inside the pickled Job, not the environment: the
+    # per-hop path processes more events for identical rows.
+    grid = fig11_guarantee.grid(schemes=("ufab",), duration=0.004,
+                                seeds=(1, 2))
+    rows = {transit: run_grid(grid, jobs=2, use_cache=False,
+                              mode=SimMode(transit=transit))
+            for transit in ("slow", "fast")}
+    for slow, fast in zip(rows["slow"], rows["fast"]):
+        assert slow["events_processed"] > fast["events_processed"]
+        slow.pop("events_processed")
+        fast.pop("events_processed")
+        assert slow == fast
+
+
+def test_default_jobs_rejects_malformed_repro_jobs(monkeypatch, capsys):
+    from repro.cli import main
+
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    assert default_jobs() == 1
+    for raw, jobs in (("", 1), ("3", 3)):
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        assert default_jobs() == jobs
+    for raw in ("four", "-3", "0", "2.5"):
+        monkeypatch.setenv("REPRO_JOBS", raw)
+        with pytest.raises(ValueError, match="REPRO_JOBS"):
+            default_jobs()
+        # The CLI reports it as a usage error, not a traceback.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig4", "--duration", "0.001", "--no-cache"])
+        assert exit_info.value.code == 2
+        assert "REPRO_JOBS" in capsys.readouterr().err
+    assert main(["tables", "--jobs", "1"]) == 0  # --jobs never reads it
 
 
 def test_compare_cli_exit_codes(tmp_path):

@@ -63,15 +63,6 @@ def test_solver_equivalence_small_cell():
     assert verdict["vector_solves"] > 0  # the vector path actually ran
 
 
-def test_solver_env_pinned_and_restored(monkeypatch):
-    monkeypatch.setenv("REPRO_SOLVER", "scalar")
-    row = scale_sweep.run_one("ufab", k=4, churn="low", duration=0.002,
-                              seed=5, solver="vector")
-    assert row["solver_mode"] == "vector"
-    import os
-    assert os.environ["REPRO_SOLVER"] == "scalar"
-
-
 def test_row_reports_scale_counters():
     row = scale_sweep.run_one("ufab", k=4, churn="low", duration=0.002,
                               seed=5)

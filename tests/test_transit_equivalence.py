@@ -4,9 +4,10 @@ The fast path (``Network.send_probe`` collapsing a calm path into two
 events) is a pure event-count optimization: every experiment payload,
 hop record, and trace stream must match the per-hop reference exactly —
 not approximately — across schemes, seeds, and fault schedules that
-open and close windows mid-flight.  ``REPRO_PROBE_TRANSIT`` selects the
-mode; it is read once per :class:`~repro.sim.network.Network`, so each
-comparison builds fresh networks under each setting.
+open and close windows mid-flight.  ``SimMode.transit`` selects the
+mode; a :class:`~repro.sim.network.Network` captures it once, at
+construction, so each comparison builds fresh networks under each
+setting.
 
 Payload comparison is exact ``==`` after stripping ``events_processed``
 (the two modes process different event counts by design) and ``_obs``
@@ -15,13 +16,14 @@ applies deferred stamps from per-link ledgers, but the multiset of
 records with their emission timestamps must be identical).
 """
 
+import dataclasses
 import json
-import os
 
 import pytest
 
 from repro.faults.spec import parse_faults
 from repro.runner.job import Job, execute_job
+from repro.sim.mode import SimMode, use_mode
 from repro.sim.network import Network
 from repro.sim.topology import dumbbell, three_tier_testbed
 
@@ -42,15 +44,7 @@ MIXED = ("probe_loss:0.02@1ms-4ms;probe_delay:20us+10us@2ms-6ms;"
 
 def _run(job, transit):
     """Execute one cell in-process under the given transit mode."""
-    old = os.environ.get("REPRO_PROBE_TRANSIT")
-    os.environ["REPRO_PROBE_TRANSIT"] = transit
-    try:
-        return execute_job(job)
-    finally:
-        if old is None:
-            del os.environ["REPRO_PROBE_TRANSIT"]
-        else:
-            os.environ["REPRO_PROBE_TRANSIT"] = old
+    return execute_job(dataclasses.replace(job, mode=SimMode(transit=transit)))
 
 
 def _strip(payload):
@@ -187,13 +181,13 @@ def test_sampled_plans_keep_the_fast_path_engaged():
 # Mechanism-level checks against a bare Network
 # ----------------------------------------------------------------------
 
-def _net(monkeypatch, transit, topo=None):
-    monkeypatch.setenv("REPRO_PROBE_TRANSIT", transit)
-    return Network(topo if topo is not None else dumbbell(n_pairs=2))
+def _net(transit, topo=None):
+    with use_mode(SimMode(transit=transit)):
+        return Network(topo if topo is not None else dumbbell(n_pairs=2))
 
 
-def test_fast_path_actually_engages(monkeypatch):
-    net = _net(monkeypatch, "fast")
+def test_fast_path_actually_engages():
+    net = _net("fast")
     path = net.topology.shortest_paths("src0", "dst0")[0]
     arrivals = []
     for _ in range(4):
@@ -207,18 +201,18 @@ def test_fast_path_actually_engages(monkeypatch):
     assert net.sim.events_processed < 4 * (len(path) + 1)
 
 
-def test_slow_mode_env_var_disables_fast_path(monkeypatch):
-    net = _net(monkeypatch, "slow")
+def test_slow_mode_disables_fast_path():
+    net = _net("slow")
     path = net.topology.shortest_paths("src0", "dst0")[0]
     net.send_probe(path, None)
     net.run(1.0)
     assert net.fastpath_legs == 0
 
 
-def test_pure_hop_stamps_identical_between_modes(monkeypatch):
+def test_pure_hop_stamps_identical_between_modes():
     runs = {}
     for transit in ("fast", "slow"):
-        net = _net(monkeypatch, transit)
+        net = _net(transit)
         path = net.topology.shortest_paths("src0", "dst0")[0]
         seen = []
         for i in range(3):
@@ -233,12 +227,12 @@ def test_pure_hop_stamps_identical_between_modes(monkeypatch):
     # modes, so the streams match element-for-element, not just as sets.
 
 
-def test_mid_flight_link_failure_materializes_identically(monkeypatch):
+def test_mid_flight_link_failure_materializes_identically():
     # Fail the bottleneck while probes are in flight: the fast flights
     # must materialize and drop exactly like the per-hop reference.
     results = {}
     for transit in ("fast", "slow"):
-        net = _net(monkeypatch, transit)
+        net = _net(transit)
         path = net.topology.shortest_paths("src0", "dst0")[0]
         outcome = []
         for i in range(3):
@@ -257,8 +251,8 @@ def test_mid_flight_link_failure_materializes_identically(monkeypatch):
     assert any(kind == "drop" for kind, *_ in results["fast"])
 
 
-def test_materialization_counter_increments(monkeypatch):
-    net = _net(monkeypatch, "fast")
+def test_materialization_counter_increments():
+    net = _net("fast")
     path = net.topology.shortest_paths("src0", "dst0")[0]
     net.send_probe(path, None, on_drop=lambda p: None)
     net.sim.at(path[0].prop_delay * 0.5, net.fail_link, "SW1", "SW2")
@@ -266,8 +260,8 @@ def test_materialization_counter_increments(monkeypatch):
     assert net.fastpath_materialized >= 1
 
 
-def test_probe_and_event_pools_recycle(monkeypatch):
-    net = _net(monkeypatch, "fast")
+def test_probe_and_event_pools_recycle():
+    net = _net("fast")
     path = net.topology.shortest_paths("src0", "dst0")[0]
     done = []
     # Sequential waves so earlier probes' objects are back in the pools
@@ -281,13 +275,13 @@ def test_probe_and_event_pools_recycle(monkeypatch):
     assert net.sim.pool_reuse > 0
 
 
-def test_three_tier_fault_heavy_micro_equivalence(monkeypatch):
+def test_three_tier_fault_heavy_micro_equivalence():
     # Same probe workload on the testbed fat-tree under a link failure
     # plus recovery, both modes, with pure stamps collecting per-hop
     # observations — the full record streams must match.
     results = {}
     for transit in ("fast", "slow"):
-        net = _net(monkeypatch, transit, three_tier_testbed())
+        net = _net(transit, three_tier_testbed())
         paths = net.topology.shortest_paths("S1", "S3")
         stamps = []
         arrivals = []
